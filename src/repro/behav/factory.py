@@ -21,9 +21,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.contract import DutContract
 from ..core.environment import CoVerificationEnvironment
-from ..hdl import RisingEdge
 from ..rtl import (AccountingUnitRtl, AtmPortModuleRtl, AtmSwitchRtl,
-                   RECORD_WORDS, UpcPolicerRtl)
+                   UpcPolicerRtl)
 from .twins import (AccountingUnitBehav, AtmPortModuleBehav,
                     AtmSwitchBehav, UpcPolicerBehav)
 
@@ -68,29 +67,6 @@ class DutHandle:
         """The design's counter snapshot — same keys at both levels
         (the shared contract surface the equivalence harness diffs)."""
         return self.design.counters()
-
-
-def _rtl_record_collector(env: CoVerificationEnvironment,
-                          design: AccountingUnitRtl, name: str
-                          ) -> Callable[[], List[Tuple[int, ...]]]:
-    """Attach a record-bus monitor; returns the grouped-records
-    closure."""
-    words: List[int] = []
-
-    def _monitor():
-        while True:
-            yield RisingEdge(env.clk)
-            if design.rec_valid.value == "1":
-                words.append(design.rec_word.as_int())
-
-    env.hdl.add_generator(f"{name}.records", _monitor())
-
-    def _records() -> List[Tuple[int, ...]]:
-        whole = len(words) // RECORD_WORDS
-        return [tuple(words[i * RECORD_WORDS:(i + 1) * RECORD_WORDS])
-                for i in range(whole)]
-
-    return _records
 
 
 def build_dut(env: CoVerificationEnvironment, kind: str,
@@ -145,7 +121,7 @@ def _build_rtl(env: CoVerificationEnvironment, kind: str, name: str,
     entities = [env.add_dut(rx_port=design.rx,
                             tick_signal=design.tariff_tick)]
     return DutHandle("accounting", "rtl", design, entities,
-                     records=_rtl_record_collector(env, design, name))
+                     records=design.record_collector())
 
 
 def _build_behav(env: CoVerificationEnvironment, kind: str, name: str,

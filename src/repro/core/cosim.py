@@ -170,7 +170,7 @@ class CosimulationEntity(DutContract):
             self._inflight_ingress.append((time, tid))
             if self.receiver is not None:
                 self._inflight_e2e.append((time, tid))
-            if self._prov is not None:
+            if self._prov is not None and self._prov.sampled(tid):
                 self._prov.record_hop(
                     tid, "post", t=time,
                     hdl_s=self.timebase.to_seconds(self.hdl.now))
@@ -259,10 +259,10 @@ class CosimulationEntity(DutContract):
     def _deliver(self, message: TimestampedMessage) -> None:
         if message.msg_type == CELL_MSG:
             self.cells_in += 1
-            if self._prov is not None:
+            tid = getattr(message.payload, "trace_id", None)
+            if self._prov is not None and self._prov.sampled(tid):
                 self._prov.record_hop(
-                    getattr(message.payload, "trace_id", None),
-                    "release", t=message.time,
+                    tid, "release", t=message.time,
                     hdl_s=self.timebase.to_seconds(self.hdl.now))
             self.sender.send(self.mapper.cell_to_octets(message.payload))
         elif message.msg_type == TICK_MSG:
@@ -296,7 +296,7 @@ class CosimulationEntity(DutContract):
         hdl_s = self.timebase.to_seconds(self.hdl.now)
         if self._ingress_hist is not None:
             self._ingress_hist.record(max(0.0, hdl_s - injected))
-        if self._prov is not None:
+        if self._prov is not None and self._prov.sampled(tid):
             self._prov.record_hop(tid, "ingress", hdl_s=hdl_s)
 
     def _on_cell_out(self, octets: List[int]) -> None:

@@ -19,11 +19,22 @@ further accelerations:
 * the initial clock level is primed during initialisation exactly like
   the generator clock's first drive, so the two schemes are
   event-count-identical (this fixed the historic one-event E6b gap);
-* clock edges are applied by *fast dispatch*: the edge's delta cycle
-  is evaluated inline against a precomputed edge-sensitivity table (a
-  snapshot of the clock's sensitivity list, refreshed only when
-  processes are added) plus the current edge waiters, skipping the
-  general delta loop's changed-signal bookkeeping.
+* edges nothing observes are applied in *edge runs*: one loop takes
+  every edge due before the next heap event or waveform batch (an
+  edge coinciding with a batch still applies first), keeps the
+  counters in locals and calls only the compiled kernel's rising-edge
+  evaluations.  A run ends after an edge that schedules follow-up
+  deltas (a compiled commit), and the engine re-checks after those
+  and after each waveform drain;
+* observed edges fall back to *fast dispatch*, one call per edge: the
+  edge's delta cycle is evaluated inline against a precomputed
+  edge-sensitivity table (a snapshot of the clock's sensitivity list,
+  refreshed only when processes are added) plus the current edge
+  waiters, skipping the general delta loop's changed-signal
+  bookkeeping.  An edge is observed while clk has sensitive,
+  rise-sensitive or waiting processes, ``signal_hooks`` is non-empty
+  (VCD, assertions, journal), clk has a second driver or delta work
+  is pending.
 
 Restrictions:
 * the clock signal must not have another driver (do not also call
@@ -41,6 +52,9 @@ from .signal import Signal
 from .simulator import Simulator
 
 __all__ = ["CycleEngine"]
+
+#: the other clock level
+_OTHER = {"1": "0", "0": "1"}
 
 
 class CycleEngine:
@@ -92,7 +106,7 @@ class CycleEngine:
         self._edge_table_all: Tuple[Process, ...] = ()
         self._clk_id = id(clk)
         self.cycles_run = 0
-        #: clock edges applied through fast dispatch (observability)
+        #: clock edges applied, by edge runs or fast dispatch
         self.edges_applied = 0
         # Publish the clock geometry so bulk-stimulus compilers (e.g.
         # CellSender's waveform fast path) can place transitions on
@@ -106,24 +120,10 @@ class CycleEngine:
     # ------------------------------------------------------------------
     def run_cycles(self, cycles: int) -> None:
         """Advance the design by *cycles* full clock periods."""
-        sim = self.sim
-        sim.initialize()
-        self._prime()
-        sim._execute_deltas()
-        heap = sim._heap
-        wave = sim._wave_heap
-        for _ in range(cycles):
-            for _edge in (0, 1):                 # rising, falling
-                target = self._next_edge_time
-                if (heap and heap[0][0] <= target) or (
-                        wave and wave[0][0] < target):
-                    self._advance_to(target, wave_at_target=False)
-                else:
-                    sim.now = target
-                self._apply_edge()
-                if wave and wave[0][0] == target:
-                    self._drain_wave_now()
-            self.cycles_run += 1
+        self._start()
+        # the first edge left out opens the period after the last one
+        self._edges_through(self._next_edge_time + cycles * self.period - 1)
+        self.cycles_run += max(cycles, 0)
 
     def _run_until(self, until: Optional[int]) -> int:
         """Engine-driven equivalent of ``Simulator.run(until=...)``:
@@ -131,9 +131,7 @@ class CycleEngine:
         events and bulk waveforms in between, and land exactly on
         *until*."""
         sim = self.sim
-        sim.initialize()
-        self._prime()
-        sim._execute_deltas()
+        self._start()
         if until is None:
             # No horizon: interleave edges with heap/waveform events
             # until both drain (the clock itself never schedules, so
@@ -141,22 +139,12 @@ class CycleEngine:
             # non-clock events would).  Same-time ordering matches the
             # event-driven kernel: heap events apply before the edge,
             # waveform batches after it.
-            heap = sim._heap
             wave = sim._wave_heap
             while True:
                 next_time = sim.next_event_time()
                 if next_time is None:
                     return sim.now
-                while self._next_edge_time < next_time:
-                    target = self._next_edge_time
-                    if (heap and heap[0][0] <= target) or (
-                            wave and wave[0][0] < target):
-                        self._advance_to(target, wave_at_target=False)
-                    else:
-                        sim.now = target
-                    self._apply_edge()
-                    if wave and wave[0][0] == target:
-                        self._drain_wave_now()
+                self._edges_through(next_time - 1)
                 self._advance_to(next_time, wave_at_target=False)
                 if wave and wave[0][0] == next_time:
                     if self._next_edge_time == next_time:
@@ -164,20 +152,111 @@ class CycleEngine:
                     self._drain_wave_now()
         if until < sim.now:
             return sim.now
+        self._edges_through(until)
+        self._advance_to(until)
+        return sim.now
+
+    def _start(self) -> None:
+        """Initialise the simulator, prime the clock, settle deltas."""
+        sim = self.sim
+        sim.initialize()
+        self._prime()
+        sim._execute_deltas()
+
+    def _edges_through(self, limit: int) -> None:
+        """Apply every clock edge due at or before tick *limit*,
+        draining heap events and waveform batches in between: heap
+        events due at an edge's tick apply before it, waveform batches
+        after it.  Unobserved edges go through :meth:`_edge_run`, the
+        others one by one through :meth:`_apply_edge`."""
+        sim = self.sim
+        clk = self.clk
         heap = sim._heap
         wave = sim._wave_heap
-        while self._next_edge_time <= until:
+        while self._next_edge_time <= limit:
             target = self._next_edge_time
             if (heap and heap[0][0] <= target) or (
                     wave and wave[0][0] < target):
                 self._advance_to(target, wave_at_target=False)
-            else:
+                self._apply_edge()
+            elif (clk._sensitive or clk._sensitive_rise
+                  or sim._waiters.get(self._clk_id) or sim.signal_hooks
+                  or sim._pending_updates or sim._pending_resumes
+                  or list(clk._drivers) != [self._driver]
+                  or clk._value != _OTHER[self._next_edge_value]):
                 sim.now = target
-            self._apply_edge()
-            if wave and wave[0][0] == target:
+                self._apply_edge()
+            else:
+                stop = limit
+                if heap and heap[0][0] <= stop:
+                    stop = heap[0][0] - 1
+                if wave and wave[0][0] < stop:
+                    stop = wave[0][0]
+                self._edge_run(stop)
+            if wave and wave[0][0] == sim.now:
                 self._drain_wave_now()
-        self._advance_to(until)
-        return sim.now
+
+    def _edge_run(self, stop: int) -> None:
+        """Apply the clock edges due at or before tick *stop* in one
+        loop, with the counters in locals.  The caller has checked that
+        only the compiled kernel observes clk, which sits at the level
+        the next edge leaves, so each edge is an event with exactly the
+        effect :meth:`_apply_edge` gives it: an edge delta, a settle
+        stamp and, on a rising edge, the kernel's evaluations, which see
+        the edge's time, stamp and level.  An edge that schedules a
+        compiled commit ends the run after its deltas."""
+        sim = self.sim
+        clk = self.clk
+        kernel = clk._compiled_kernel
+        slot = clk._compiled_slot
+        time = self._next_edge_time
+        value = self._next_edge_value
+        stamp = sim._delta_stamp
+        edges = 0
+        follow_up = False
+        while time <= stop:
+            edge_time = time
+            edges += 1
+            stamp += 1                       # the edge's delta
+            if value == "1":
+                if kernel is not None:
+                    sim.now = time
+                    sim._delta_stamp = stamp
+                    clk._previous = "0"
+                    clk._value = "1"
+                    clk._event_delta = stamp
+                    clk.last_event_time = time
+                    if slot is not None:
+                        slot._sync("1")
+                    kernel._on_edge()
+                    follow_up = sim._pending_resumes or sim._pending_updates
+                value = "0"
+                time += self.high_ticks
+            else:
+                value = "1"
+                time += self.low_ticks
+            if follow_up:
+                break                        # the deltas settle instead
+            stamp += 1                       # its settle stamp
+        level = _OTHER[value]
+        self._next_edge_time = time
+        self._next_edge_value = value
+        self.edges_applied += edges
+        sim.now = edge_time
+        sim._delta_stamp = stamp
+        sim.delta_cycles += edges
+        sim.events_executed += edges
+        sim.signal_events += edges
+        clk.change_count += edges
+        clk._drivers[self._driver] = level
+        clk._previous = value
+        clk._value = level
+        clk._event_delta = stamp if follow_up else stamp - 1
+        clk.last_event_time = edge_time
+        if slot is not None:
+            slot._sync(level)
+        if follow_up:
+            sim._execute_deltas()            # follow-up deltas + settle
 
     def schedule_waveform(self, *args, **kwargs):
         """Bulk event injection — delegates to

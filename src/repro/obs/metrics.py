@@ -24,9 +24,9 @@ integer counters and observability snapshots them (see
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_left
 from pathlib import Path
+from time import perf_counter
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 __all__ = ["Counter", "Histogram", "SpanTimer", "MetricsRegistry",
@@ -168,11 +168,11 @@ class SpanTimer:
         self._start = 0.0
 
     def __enter__(self) -> "SpanTimer":
-        self._start = time.perf_counter()
+        self._start = perf_counter()
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.histogram.record(time.perf_counter() - self._start)
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.histogram.record(perf_counter() - self._start)
 
 
 class _NullCounter:

@@ -109,7 +109,8 @@ class ProvenanceTracker:
         """
         tid = self.next_id()
         packet[TRACE_ID_FIELD] = tid
-        self.record_hop(tid, "source", t=time, src=source)
+        if tid % self.sample == 0:
+            self.record_hop(tid, "source", t=time, src=source)
         return tid
 
     # ------------------------------------------------------------------
@@ -204,12 +205,12 @@ class ProvenanceTracker:
         """A ``(time, packet)`` callback recording the ``sink`` hop —
         plug into :class:`~repro.netsim.SinkModule`'s ``on_packet`` or
         a tap hook."""
+        extra = {} if name is None else {"dst": name}
+
         def _hook(time: float, packet: "Packet") -> None:
             tid = packet.get(TRACE_ID_FIELD)
-            if name is not None:
-                self.record_hop(tid, "sink", t=time, dst=name)
-            else:
-                self.record_hop(tid, "sink", t=time)
+            if self.sampled(tid):
+                self.record_hop(tid, "sink", t=time, **extra)
         return _hook
 
     def journey(self, trace_id: int) -> Optional[Dict[str,

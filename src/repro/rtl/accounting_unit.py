@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..hdl.compiled import slot_int
 from ..hdl.logic import vector_to_int
+from ..hdl.processes import RisingEdge
 from ..hdl.signal import Signal
 from ..hdl.simulator import Simulator
 from .cell_stream import CELL_OCTETS, CellStreamPort
@@ -91,7 +92,37 @@ class AccountingUnitRtl(Component):
         self.cells_seen = 0
         self.unknown_cells = 0
         self.records_emitted = 0
+        self.clk = clk
         self.clocked(clk, self._tick, compile_fn=self._compile_seq)
+
+    def record_collector(self) -> Callable[[], List[Tuple[int, ...]]]:
+        """Attach a record-bus monitor; returns a closure giving the
+        records read so far as 6-tuples.
+
+        The monitor takes ``rec_word`` on each rising clock edge while
+        ``rec_valid`` is '1'.  Records only follow an interval close,
+        so an idle bus with ``tariff_tick`` low parks it until the tick
+        rises: no process run per idle clock, no clock observer to stop
+        the cycle engine's edge runs, and no extra delta cycle.
+        """
+        words: List[int] = []
+
+        def monitor():
+            while True:
+                yield RisingEdge(self.clk)
+                if self.rec_valid.value == "1":
+                    words.append(self.rec_word.as_int())
+                elif self.tariff_tick.value != "1":
+                    yield RisingEdge(self.tariff_tick)
+
+        self.sim.add_generator(f"{self.name}.records", monitor())
+
+        def records() -> List[Tuple[int, ...]]:
+            whole = len(words) // RECORD_WORDS
+            return [tuple(words[i * RECORD_WORDS:(i + 1) * RECORD_WORDS])
+                    for i in range(whole)]
+
+        return records
 
     # -- management plane ---------------------------------------------------
     def register(self, vpi: int, vci: int, units_per_cell: int = 1,

@@ -545,14 +545,23 @@ class JobService:
             except OSError:
                 pass
 
-    def _handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle(self, request: Any) -> Dict[str, Any]:
+        if not isinstance(request, dict):
+            raise TypeError("request must be a JSON object, got "
+                            f"{type(request).__name__}")
+        for name, (types, what) in _FIELDS.items():
+            value = request.get(name)
+            if value is not None and (
+                    not isinstance(value, types)
+                    or (types is not bool and isinstance(value, bool))):
+                raise TypeError(f"{name!r} must be {what}")
         op = request.get("op")
         if op == "submit":
             job_id = self.submit(request["run"])
             return {"ok": True, "job_id": job_id}
         if op == "result":
             record = self.result(request["job_id"],
-                                 wait=bool(request.get("wait", True)),
+                                 wait=request.get("wait", True),
                                  timeout=request.get("timeout"))
             return {"ok": True, "job": record}
         if op == "status":
@@ -565,6 +574,13 @@ class JobService:
             self._stop.set()
             return {"ok": True, "bye": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
+
+
+#: request field -> (accepted types, description for the error reply)
+_FIELDS = {"run": (dict, "a JSON object"),
+           "job_id": (str, "a string"),
+           "wait": (bool, "true or false"),
+           "timeout": ((int, float), "a number of seconds")}
 
 
 class ServeClient:

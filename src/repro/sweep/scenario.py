@@ -27,9 +27,8 @@ from typing import Any, Dict, List, Tuple
 from ..atm import AccountingUnit, AtmCell, AtmSwitch, Tariff
 from ..behav import AccountingUnitBehav
 from ..core import CoVerificationEnvironment, StreamComparator, TimeBase
-from ..hdl import RisingEdge
 from ..netsim import SinkModule
-from ..rtl import RECORD_WORDS, AccountingUnitRtl
+from ..rtl import AccountingUnitRtl
 from ..traffic import (ArrivalProcess, ConstantBitRate, OnOffSource,
                        PoissonArrivals, TrafficSource)
 from .spec import SweepSpecError
@@ -139,17 +138,9 @@ def _build_and_run(run: Dict[str, Any]) -> Dict[str, Any]:
         env.network.add_link(switch.node, port, host, 0,
                              rate_bps=155.52e6)
 
-    # Record-bus monitor (RTL only): collect the DUT's 32-bit record
-    # words.  The behavioural twin accumulates whole record tuples.
-    words: List[int] = []
-    if level == "rtl":
-        def _monitor():
-            while True:
-                yield RisingEdge(env.clk)
-                if dut.rec_valid.value == "1":
-                    words.append(dut.rec_word.as_int())
-
-        env.hdl.add_generator("sweep.records", _monitor())
+    # the RTL record-bus monitor, or the twin's whole record tuples
+    records = (dut.record_collector() if level == "rtl"
+               else lambda: list(dut.records))
 
     start = _time.perf_counter()
     try:
@@ -167,13 +158,7 @@ def _build_and_run(run: Dict[str, Any]) -> Dict[str, Any]:
         env.close()
     wall = _time.perf_counter() - start
 
-    if level == "behav":
-        dut_records: List[Tuple[int, ...]] = list(dut.records)
-    else:
-        whole = len(words) // RECORD_WORDS
-        dut_records = [
-            tuple(words[i * RECORD_WORDS:(i + 1) * RECORD_WORDS])
-            for i in range(whole)]
+    dut_records: List[Tuple[int, ...]] = records()
     reference_records = [
         (r.vpi, r.vci, r.interval, r.cells_clp0, r.cells_clp1,
          r.charge_units) for r in reference.close_interval()]

@@ -182,3 +182,47 @@ def test_wire_protocol_rejects_garbage():
     finally:
         thread.join(timeout=30)
         service.shutdown()
+
+
+def test_serve_refuses_malformed_requests_and_keeps_serving():
+    """A request that is not a JSON object, or carries an ill-typed
+    field, gets an ``ok: false`` reply naming the problem; the same
+    connection then still answers a valid request."""
+    import json
+    import socket
+
+    service = JobService(jobs=1)
+    service.start()
+    thread = threading.Thread(target=service.serve_forever,
+                              daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(service.address, timeout=30) as sock:
+            stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+
+            def call(line):
+                stream.write(line + "\n")
+                stream.flush()
+                return json.loads(stream.readline())
+
+            for line, error in (
+                    ("[]", "must be a JSON object, got list"),
+                    ('"x"', "must be a JSON object, got str"),
+                    ('{"op": "result", "job_id": "job-1", '
+                     '"timeout": "soon"}', "'timeout' must be a number"),
+                    ('{"op": "result", "job_id": 7}', "'job_id'"),
+                    ('{"op": "result", "job_id": "job-1", "wait": "no"}',
+                     "'wait'"),
+                    ('{"op": "submit", "run": []}', "'run'")):
+                reply = call(line)
+                assert reply["ok"] is False
+                assert error in reply["error"]
+            reply = call('{"op": "status"}')
+            assert reply["ok"] is True
+            assert reply["status"]["stats"]["submitted"] == 0
+            assert call('{"op": "shutdown"}')["bye"] is True
+            stream.close()
+    finally:
+        thread.join(timeout=30)
+        service.shutdown()
+    assert not thread.is_alive()
