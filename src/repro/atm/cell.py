@@ -187,10 +187,13 @@ class AtmCell:
     # Network-simulator packet bridge
     # ------------------------------------------------------------------
     def to_packet(self, creation_time: float = 0.0) -> Packet:
-        """Wrap the cell in an abstract netsim packet (Figure 4 struct)."""
+        """Wrap the cell in an abstract netsim packet (Figure 4 struct).
+
+        The packet shares the cell's immutable payload tuple; only
+        :meth:`from_packet` reads it back."""
         fields = {"VPI": self.vpi, "VCI": self.vci,
                   "PT": self.pt, "CLP": self.clp,
-                  "GFC": self.gfc, "payload": list(self.payload)}
+                  "GFC": self.gfc, "payload": self.payload}
         if self.trace_id is not None:
             fields["trace_id"] = self.trace_id
         return Packet(size_bits=CELL_BITS, creation_time=creation_time,
@@ -200,12 +203,22 @@ class AtmCell:
     def from_packet(cls, packet: Packet) -> "AtmCell":
         """Recover a cell from an abstract packet built by
         :meth:`to_packet` (missing fields default to zero; a provenance
-        ``trace_id`` stamped on the packet is carried over)."""
-        return cls.with_payload(
-            vpi=packet.get("VPI", 0), vci=packet.get("VCI", 0),
-            payload=packet.get("payload", ()),
-            pt=packet.get("PT", 0), clp=packet.get("CLP", 0),
-            gfc=packet.get("GFC", 0), trace_id=packet.get("trace_id"))
+        ``trace_id`` stamped on the packet is carried over).
+
+        A 48-octet tuple payload, as :meth:`to_packet` stores it, goes
+        into the cell as it is; any other payload (a list, or fewer
+        octets) is zero-padded by :meth:`with_payload`.  Either way the
+        fields are validated on construction."""
+        get = packet.fields.get
+        payload = get("payload", ())
+        if type(payload) is not tuple or len(payload) != PAYLOAD_OCTETS:
+            return cls.with_payload(
+                vpi=get("VPI", 0), vci=get("VCI", 0), payload=payload,
+                pt=get("PT", 0), clp=get("CLP", 0), gfc=get("GFC", 0),
+                trace_id=get("trace_id"))
+        return cls(vpi=get("VPI", 0), vci=get("VCI", 0), pt=get("PT", 0),
+                   clp=get("CLP", 0), gfc=get("GFC", 0), payload=payload,
+                   trace_id=get("trace_id"))
 
     def connection(self) -> Tuple[int, int]:
         """The (VPI, VCI) pair identifying the cell's connection."""

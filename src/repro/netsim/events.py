@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 #: Global monotone sequence used to break ties between events that carry
@@ -55,24 +55,34 @@ class Interrupt:
     data: Any = None
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled event in the kernel's event list.
 
     Events order by ``(time, priority, seq)``.  Lower priority values
     execute first among simultaneous events; ``seq`` preserves FIFO order
-    of equal-priority simultaneous events.
+    of equal-priority simultaneous events.  The kernel keys its heap on
+    that tuple itself, so events are never compared with each other.
     """
 
-    time: float
-    priority: int
-    seq: int = field(default_factory=lambda: next(_event_sequence))
-    action: Callable[[], None] = field(compare=False, default=None)
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "priority", "seq", "action", "cancelled")
+
+    def __init__(self, time: float, priority: int,
+                 seq: Optional[int] = None,
+                 action: Optional[Callable[[], None]] = None,
+                 cancelled: bool = False) -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = next(_event_sequence) if seq is None else seq
+        self.action = action
+        self.cancelled = cancelled
 
     def cancel(self) -> None:
         """Mark the event cancelled; the kernel drops it when popped."""
         self.cancelled = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"Event(time={self.time!r}, priority={self.priority!r}, "
+                f"seq={self.seq!r}, cancelled={self.cancelled!r})")
 
 
 class SchedulingError(Exception):

@@ -20,7 +20,8 @@ uses.  The failure policy mirrors :class:`repro.sweep.SweepRunner`:
 * **timeout** — the worker is killed and respawned, the job retried
   once, then recorded as ``status: "timeout"``.
 
-Wire protocol (one JSON object per line, both directions)::
+Wire protocol (one UTF-8 JSON object per line, both directions, a
+request line at most :data:`MAX_REQUEST_BYTES` long)::
 
     {"op": "submit", "run": {...}}          -> {"ok": true, "job_id": "job-1"}
     {"op": "result", "job_id": "job-1",
@@ -61,6 +62,11 @@ __all__ = ["JobService", "ServeClient"]
 
 #: attempts per job before a crash/timeout becomes terminal
 MAX_ATTEMPTS = 2
+
+#: longest request line the socket front door reads, newline included;
+#: a longer line is answered with an error and the rest of it is read
+#: and dropped in chunks of this size, never held whole
+MAX_REQUEST_BYTES = 64 * 1024
 
 
 def _service_worker_main(conn) -> None:
@@ -520,19 +526,23 @@ class JobService:
             self.shutdown()
 
     def _serve_client(self, sock: socket.socket) -> None:
-        stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+        stream = sock.makefile("rwb")
         try:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    reply = self._handle(json.loads(line))
-                except (json.JSONDecodeError, SweepSpecError,
-                        KeyError, RuntimeError, TypeError) as exc:
+            while True:
+                raw = stream.readline(MAX_REQUEST_BYTES + 1)
+                if not raw:
+                    break
+                if len(raw) > MAX_REQUEST_BYTES:
                     reply = {"ok": False,
-                             "error": f"{type(exc).__name__}: {exc}"}
-                stream.write(json.dumps(reply) + "\n")
+                             "error": f"RequestTooLong: request line "
+                                      f"exceeds {MAX_REQUEST_BYTES} bytes"}
+                    while raw and not raw.endswith(b"\n"):
+                        raw = stream.readline(MAX_REQUEST_BYTES + 1)
+                else:
+                    reply = self._reply(raw)
+                    if reply is None:
+                        continue
+                stream.write(json.dumps(reply).encode("utf-8") + b"\n")
                 stream.flush()
                 if reply.get("bye"):
                     break
@@ -544,6 +554,18 @@ class JobService:
                 sock.close()
             except OSError:
                 pass
+
+    def _reply(self, raw: bytes) -> Optional[Dict[str, Any]]:
+        """The reply to one request line (``None`` for a blank one);
+        every malformed request gets a typed ``ok: false`` reply."""
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                return None
+            return self._handle(json.loads(line))
+        except (UnicodeDecodeError, json.JSONDecodeError, SweepSpecError,
+                KeyError, RuntimeError, TypeError) as exc:
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     def _handle(self, request: Any) -> Dict[str, Any]:
         if not isinstance(request, dict):

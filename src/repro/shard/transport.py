@@ -37,7 +37,6 @@ import multiprocessing
 import os
 import select
 import socket
-import struct
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from . import codec
@@ -276,12 +275,16 @@ class SocketTransport(Transport):
 # ----------------------------------------------------------------------
 # Shared-memory ring transport
 # ----------------------------------------------------------------------
-#: per-ring control block: u64 write total, u64 read total, u8 closed
+#: per-ring control block: u64 write total, u64 read total, u8 closed.
+#: The two totals are indices into a native ``Q`` view of the block, so
+#: each is read and written as one aligned 8-octet load or store and the
+#: peer process never sees half of an update (``struct``'s ``<Q`` copies
+#: octet by octet: a torn total made ``head - tail`` negative or larger
+#: than the ring).
 _RING_HEAD = 0
-_RING_TAIL = 8
+_RING_TAIL = 1
 _RING_CLOSED = 16
 _RING_DATA = 32  # data area start (keeps counters on their own line)
-_COUNTER = struct.Struct("<Q")
 
 #: default ring capacity per direction
 DEFAULT_RING_CAPACITY = 1 << 20
@@ -302,22 +305,24 @@ class _Ring:
     :class:`TransportClosed`.
     """
 
-    __slots__ = ("shm", "buf", "capacity", "data_event", "space_event")
+    __slots__ = ("shm", "buf", "counters", "capacity", "data_event",
+                 "space_event")
 
     def __init__(self, shm, capacity: int, data_event,
                  space_event) -> None:
         self.shm = shm
         self.buf = shm.buf
+        self.counters = shm.buf[:_RING_CLOSED].cast("Q")
         self.capacity = capacity
         self.data_event = data_event
         self.space_event = space_event
 
     # counters -------------------------------------------------------
     def _head(self) -> int:
-        return _COUNTER.unpack_from(self.buf, _RING_HEAD)[0]
+        return self.counters[_RING_HEAD]
 
     def _tail(self) -> int:
-        return _COUNTER.unpack_from(self.buf, _RING_TAIL)[0]
+        return self.counters[_RING_TAIL]
 
     @property
     def readable(self) -> int:
@@ -371,7 +376,7 @@ class _Ring:
                 self.buf[_RING_DATA:_RING_DATA + chunk - first] = \
                     view[sent + first:sent + chunk]
             sent += chunk
-            _COUNTER.pack_into(self.buf, _RING_HEAD, head + chunk)
+            self.counters[_RING_HEAD] = head + chunk
             self.data_event.set()
 
     def read_into(self, view: memoryview,
@@ -408,11 +413,12 @@ class _Ring:
                 view[got + first:got + chunk] = \
                     self.buf[_RING_DATA:_RING_DATA + chunk - first]
             got += chunk
-            _COUNTER.pack_into(self.buf, _RING_TAIL, tail + chunk)
+            self.counters[_RING_TAIL] = tail + chunk
             self.space_event.set()
 
     def release(self) -> None:
         """Drop the buffer references so the mapping can be closed."""
+        self.counters.release()
         self.buf = None
         try:
             self.shm.close()

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.atm import (AtmCell, CELL_OCTETS, CellFormatError, PAYLOAD_OCTETS,
                        check_hec, crc8, hec_octet)
+from repro.netsim import Packet
 
 
 class TestHec:
@@ -115,6 +116,41 @@ class TestAtmCell:
         assert packet.size_bits == 424
         assert packet["VPI"] == 9
         assert AtmCell.from_packet(packet) == cell
+
+    def test_packet_round_trip_keeps_tuple_payload_and_trace_id(self):
+        cell = AtmCell.with_payload(3, 33, [7, 8], trace_id=41)
+        packet = cell.to_packet()
+        assert packet["payload"] is cell.payload
+        again = AtmCell.from_packet(packet)
+        assert again == cell
+        assert again.trace_id == 41
+        assert type(again.payload) is tuple
+        assert again.payload is cell.payload
+
+    @pytest.mark.parametrize("payload", [[5, 6, 7], (5, 6, 7),
+                                         [5, 6, 7] + [0] * 45, []])
+    def test_foreign_packet_payload_is_zero_padded(self, payload):
+        packet = Packet(size_bits=424,
+                        fields={"VPI": 2, "VCI": 20, "payload": payload})
+        cell = AtmCell.from_packet(packet)
+        assert cell.payload == tuple(payload) + (0,) * (
+            PAYLOAD_OCTETS - len(payload))
+        assert type(cell.payload) is tuple
+
+    def test_packet_without_fields_defaults_to_zero(self):
+        assert AtmCell.from_packet(Packet()) == AtmCell()
+
+    @pytest.mark.parametrize("fields", [
+        {"VPI": 256}, {"VCI": -1}, {"PT": 8}, {"CLP": 2}, {"GFC": 16},
+        {"payload": (0,) * 47 + (256,)},
+        {"payload": [0, -1]},
+        {"payload": (0,) * 49},
+    ])
+    def test_out_of_range_packet_raises_at_from_packet(self, fields):
+        packet = AtmCell.with_payload(1, 10, [1]).to_packet()
+        packet.fields.update(fields)
+        with pytest.raises(CellFormatError):
+            AtmCell.from_packet(packet)
 
     def test_idle_cell(self):
         assert AtmCell.idle().is_idle

@@ -185,3 +185,166 @@ def test_property_priority_then_fifo(entries):
                    priority=prio)
     k.run()
     assert executed == sorted(executed, key=lambda r: (r[0], r[1], r[2]))
+
+
+def test_nan_time_rejected():
+    k = Kernel()
+    order = []
+    for t in (3.0, 1.0):
+        k.schedule(t, lambda t=t: order.append(t))
+    with pytest.raises(SchedulingError):
+        k.schedule(float("nan"), lambda: order.append("nan"))
+    for t in (2.0, 0.5):
+        k.schedule(t, lambda t=t: order.append(t))
+    k.run()
+    assert order == [0.5, 1.0, 2.0, 3.0]
+    assert k.now == 3.0
+
+
+def test_nan_delay_rejected():
+    k = Kernel()
+    with pytest.raises(SchedulingError):
+        k.schedule_after(float("nan"), lambda: None)
+    assert k.pending_events == 0
+
+
+def test_run_until_keeps_clock_behind_events_left_by_max_events():
+    k = Kernel()
+    hits = []
+    for t in (0.0, 1.0, 4.0):
+        k.schedule(t, lambda t=t: hits.append(t))
+    assert k.run(until=2.0, max_events=1) == 0.0
+    assert k.run(until=2.0) == 2.0
+    assert hits == [0.0, 1.0]
+    k.run()
+    assert hits == [0.0, 1.0, 4.0]
+
+
+def test_run_until_keeps_clock_behind_events_left_by_stop():
+    k = Kernel()
+    hits = []
+    k.schedule(1.0, lambda: (hits.append(1.0), k.stop()))
+    k.schedule(1.5, lambda: hits.append(1.5))
+    assert k.run(until=3.0) == 1.0
+    assert k.run(until=3.0) == 3.0
+    assert hits == [1.0, 1.5]
+
+
+def test_step_executes_one_event_at_a_time():
+    k = Kernel()
+    hits = []
+    k.schedule(2.0, lambda: hits.append(2))
+    k.schedule(1.0, lambda: hits.append(1))
+    assert k.step() and hits == [1] and k.now == 1.0
+    assert k.step() and hits == [1, 2] and k.now == 2.0
+    assert not k.step()
+    assert k.executed_events == 2
+
+
+def test_step_skips_cancelled_head():
+    k = Kernel()
+    hits = []
+    k.schedule(1.0, lambda: hits.append(1)).cancel()
+    k.schedule(2.0, lambda: hits.append(2))
+    assert k.step()
+    assert hits == [2]
+
+
+def test_time_listeners_fire_only_on_a_change():
+    k = Kernel()
+    seen = []
+    k.time_listeners.append(seen.append)
+    for t in (1.0, 1.0, 0.0, 2.0):
+        k.schedule(t, lambda: None)
+    k.run(until=3.0)
+    assert seen == [1.0, 2.0, 3.0]
+    assert k.time_advances == 3
+
+
+# A schedule entry: (time, priority, cancelled up front, calls stop(),
+# index of an event its action cancels or None).
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])
+_ENTRY = st.tuples(_TIMES, st.integers(min_value=-2, max_value=2),
+                   st.booleans(), st.booleans(),
+                   st.one_of(st.none(), st.integers(0, 29)))
+_OP = st.one_of(
+    st.just(("step",)),
+    st.tuples(st.just("run"), st.one_of(st.none(), _TIMES,
+                                        st.just(1.25)),
+              st.one_of(st.none(), st.integers(0, 4))))
+
+
+def _reference(entries, ops):
+    """Per operation: the indices dispatched and ``now`` afterwards."""
+    order = sorted(range(len(entries)),
+                   key=lambda i: (entries[i][0], entries[i][1], i))
+    cancelled = {i for i, entry in enumerate(entries) if entry[2]}
+    pos, now, log = 0, 0.0, []
+    for op in ops:
+        until, budget = (None, 1) if op[0] == "step" else op[1:]
+        segment = []
+        while pos < len(order) and (budget is None
+                                    or len(segment) < budget):
+            i = order[pos]
+            if i in cancelled:
+                pos += 1
+                continue
+            time, _, _, stops, kills = entries[i]
+            if until is not None and time > until:
+                break
+            pos += 1
+            now = time
+            segment.append(i)
+            if kills is not None:
+                cancelled.add(kills)
+            if stops:
+                break
+        pending = [entries[i][0] for i in order[pos:]
+                   if i not in cancelled]
+        if until is not None and until > now and (
+                not pending or pending[0] > until):
+            now = until
+        log.append((segment, now))
+    return log
+
+
+@given(st.lists(_ENTRY, min_size=1, max_size=30),
+       st.lists(_OP, max_size=6))
+def test_property_dispatch_follows_time_priority_seq(entries, ops):
+    """Whatever mix of priorities, equal times, cancellations, ``until``,
+    ``max_events``, ``stop()`` and ``step()``, events dispatch exactly
+    in sorted ``(time, priority, seq)`` order."""
+    ops = ops + [("run", None, None)] * 2   # plain runs, as after stop()
+    k = Kernel()
+    dispatched = []
+    events = []
+
+    def action(i):
+        dispatched.append(i)
+        _, _, _, stops, kills = entries[i]
+        if kills is not None and kills < len(events):
+            events[kills].cancel()
+        if stops:
+            k.stop()
+
+    for i, (time, priority, _, _, _) in enumerate(entries):
+        events.append(k.schedule(time, lambda i=i: action(i),
+                                 priority=priority))
+    for i, entry in enumerate(entries):
+        if entry[2]:
+            events[i].cancel()
+    entries = [entry if entry[4] is None or entry[4] < len(entries)
+               else entry[:4] + (None,) for entry in entries]
+    observed = []
+    for op in ops:
+        start = len(dispatched)
+        if op[0] == "step":
+            assert k.step() == (len(dispatched) > start)
+        else:
+            assert k.run(until=op[1], max_events=op[2]) == k.now
+        observed.append((dispatched[start:], k.now))
+    assert observed == _reference(entries, ops)
+    assert k.executed_events == len(dispatched)
+    keys = [(entries[i][0], entries[i][1], events[i].seq)
+            for i in dispatched]
+    assert keys == sorted(keys)

@@ -226,3 +226,54 @@ def test_serve_refuses_malformed_requests_and_keeps_serving():
         thread.join(timeout=30)
         service.shutdown()
     assert not thread.is_alive()
+
+
+def test_serve_answers_undecodable_and_over_long_lines():
+    """A request line that is not UTF-8, or longer than
+    ``MAX_REQUEST_BYTES``, gets a typed ``ok: false`` reply; the same
+    connection then still completes a job."""
+    import json
+    import socket
+
+    from repro.shard.service import MAX_REQUEST_BYTES
+
+    service = JobService(jobs=1, timeout_s=60.0)
+    service.start()
+    thread = threading.Thread(target=service.serve_forever,
+                              daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(service.address, timeout=30) as sock:
+            stream = sock.makefile("rwb")
+
+            def call(line):
+                stream.write(line + b"\n")
+                stream.flush()
+                return json.loads(stream.readline())
+
+            reply = call(b'\xff\xfe{"op": "status"}')
+            assert reply["ok"] is False
+            assert reply["error"].startswith("UnicodeDecodeError:")
+            reply = call(b'{"op": "status", "pad": "'
+                         + b"x" * (2 * MAX_REQUEST_BYTES) + b'"}')
+            assert reply["ok"] is False
+            assert reply["error"].startswith("RequestTooLong:")
+            assert str(MAX_REQUEST_BYTES) in reply["error"]
+            # a line of exactly the limit, newline included, is served
+            status = b'{"op": "status"}'
+            reply = call(status + b" " * (MAX_REQUEST_BYTES - 1
+                                          - len(status)))
+            assert reply["ok"] is True
+            run = run_payload("after-bad-lines")
+            reply = call(json.dumps({"op": "submit", "run": run}).encode())
+            assert reply["ok"] is True
+            record = call(json.dumps(
+                {"op": "result", "job_id": reply["job_id"], "wait": True,
+                 "timeout": 60}).encode())["job"]
+            assert record["status"] == "done", record
+            assert call(b'{"op": "shutdown"}')["bye"] is True
+            stream.close()
+    finally:
+        thread.join(timeout=30)
+        service.shutdown()
+    assert not thread.is_alive()

@@ -362,3 +362,33 @@ def test_shm_descriptor_crosses_a_process_boundary():
     finally:
         process.join(timeout=10.0)
         coordinator.close()
+
+
+def _shm_flood_child(descriptor, frames):
+    transport = ShmRingTransport.attach(descriptor)
+    for i in range(frames):
+        transport.send(("finish", float(i)))
+    transport.close()
+
+
+def test_shm_counters_never_tear_across_processes():
+    """A writer process floods a 97-octet ring with small frames while
+    this process reads them: the ring's head and tail totals cross an
+    octet boundary every few frames, and a reader that saw half of such
+    an update computed a negative or oversized unread span (a
+    ``ValueError`` or a bogus ``TransportClosed``)."""
+    frames = 50_000
+    ctx = multiprocessing.get_context()
+    coordinator, descriptor = shm_ring_pair(ctx, capacity=97)
+    process = ctx.Process(target=_shm_flood_child,
+                          args=(descriptor, frames), daemon=True)
+    process.start()
+    coordinator.peer_alive = process.is_alive
+    try:
+        for i in range(frames):
+            assert coordinator.recv() == ("finish", float(i))
+    finally:
+        coordinator.close()   # wakes a writer still blocked on space
+        process.join(timeout=30.0)
+    assert not process.is_alive()
+    assert process.exitcode == 0
