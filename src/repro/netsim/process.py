@@ -16,7 +16,7 @@ at simulation boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
 
 from .events import Event, Interrupt, InterruptKind
 
@@ -82,7 +82,7 @@ class ProcessModel:
         self._initial: Optional[str] = None
         self._current: Optional[str] = None
         self._last_interrupt: Optional[Interrupt] = None
-        self._pending_self: List[Event] = []
+        self._pending_self: Set[Event] = set()
         #: names of every state entered at least once — the FSM
         #: coverage signal consumed by repro.obs (distributed
         #: telemetry / the future coverage-driven scenario generator)
@@ -141,10 +141,14 @@ class ProcessModel:
         """Schedule a SELF interrupt *delay* time units from now."""
         self._require_module()
         interrupt = Interrupt(kind=InterruptKind.SELF, code=code, data=data)
-        kernel = self.module.node.kernel
-        event = kernel.schedule_after(delay,
-                                      lambda: self.deliver(interrupt))
-        self._pending_self.append(event)
+
+        def fire() -> None:
+            # a fired timer is no longer pending
+            self._pending_self.discard(event)
+            self.deliver(interrupt)
+
+        event = self.module.node.kernel.schedule_after(delay, fire)
+        self._pending_self.add(event)
         return event
 
     def cancel_self_interrupts(self) -> int:

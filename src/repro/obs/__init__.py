@@ -35,8 +35,8 @@ from .distributed import (TELEMETRY_SCHEMA, build_telemetry,
                           hop_tail_coverage, residual_backlog,
                           spans_from_tracker, sync_window_coverage)
 from .merge import (merge_counters, merge_coverage, merge_histograms,
-                    merge_instrument_snapshots, merge_spans,
-                    merge_telemetry, merge_trace_records)
+                    merge_instrument_snapshots, merge_provenance,
+                    merge_spans, merge_telemetry, merge_trace_records)
 from .metrics import (Counter, DEFAULT_SECONDS_BOUNDS, Histogram,
                       MetricsRegistry, NULL_REGISTRY, SpanTimer)
 from .profile import PROFILE_METRICS, attach_profiling, detach_profiling
@@ -52,7 +52,7 @@ __all__ = ["ChromeTraceError", "Counter", "DEFAULT_SECONDS_BOUNDS",
            "flow_processes", "flow_tracks", "fsm_coverage",
            "hop_tail_coverage", "load_trace_jsonl", "merge_counters",
            "merge_coverage", "merge_histograms",
-           "merge_instrument_snapshots", "merge_spans",
+           "merge_instrument_snapshots", "merge_provenance", "merge_spans",
            "merge_telemetry", "merge_trace_records",
            "residual_backlog", "spans_from_tracker",
            "sync_window_coverage", "validate_chrome_trace"]

@@ -34,8 +34,8 @@ from .distributed import (hop_tail_coverage, residual_backlog,
                           sync_window_coverage)
 
 __all__ = ["merge_counters", "merge_histograms",
-           "merge_instrument_snapshots", "merge_spans",
-           "merge_coverage", "merge_telemetry",
+           "merge_instrument_snapshots", "merge_provenance",
+           "merge_spans", "merge_coverage", "merge_telemetry",
            "merge_trace_records", "load_trace_jsonl"]
 
 
@@ -205,6 +205,20 @@ def merge_coverage(payloads: List[Dict[str, Any]],
     }
 
 
+def merge_provenance(snapshots: Iterable[Optional[Dict[str, int]]]
+                     ) -> Dict[str, int]:
+    """Sum provenance stats key by key; ``sample`` (the 1-in-N duty
+    cycle) takes the max.  Missing snapshots count as empty."""
+    merged: Dict[str, int] = {}
+    for snapshot in snapshots:
+        for key, value in (snapshot or {}).items():
+            if key == "sample":
+                merged[key] = max(merged.get(key, 1), int(value))
+            else:
+                merged[key] = merged.get(key, 0) + int(value)
+    return merged
+
+
 def merge_telemetry(payloads: Iterable[Dict[str, Any]]
                     ) -> Dict[str, Any]:
     """Fold N shard telemetry payloads
@@ -214,15 +228,7 @@ def merge_telemetry(payloads: Iterable[Dict[str, Any]]
     payloads = [p for p in payloads if p]
     instruments = merge_instrument_snapshots(
         p.get("instruments", {}) for p in payloads)
-    provenance: Dict[str, int] = {}
-    for payload in payloads:
-        stats = payload.get("provenance") or {}
-        for key, value in stats.items():
-            if key == "sample":
-                provenance[key] = max(provenance.get(key, 1),
-                                      int(value))
-            else:
-                provenance[key] = provenance.get(key, 0) + int(value)
+    provenance = merge_provenance(p.get("provenance") for p in payloads)
     return {
         "schema": max((p.get("schema", 1) for p in payloads),
                       default=1),

@@ -1,24 +1,17 @@
 """The persistent scenario job service behind ``python -m repro serve``.
 
-:class:`JobService` turns the one-shot sweep runner into a long-lived
-server: a request queue, a worker-process pool that *persists across
-jobs* (so the compiled cell-template cache — see
-:func:`repro.rtl.cell_stream.enable_shared_templates` — amortises
-compilation over every job a worker ever runs), a result store, and a
-JSON-lines TCP front door.
-
-Jobs are sweep run payloads (:meth:`repro.sweep.RunSpec.as_dict`
-dicts) executed by :func:`repro.sweep.scenario.execute_run` — the same
-scenario, validation and failure-injection hooks the sweep runner
-uses.  The failure policy mirrors :class:`repro.sweep.SweepRunner`:
-
-* **error** (scenario exception) — recorded immediately with the full
-  worker traceback; deterministic, never retried;
-* **crash** (worker death) — the worker is respawned and the job
-  retried once, then recorded as ``status: "crash"`` with the exit
-  code;
-* **timeout** — the worker is killed and respawned, the job retried
-  once, then recorded as ``status: "timeout"``.
+:class:`JobService` is a thin request front end — queue, result store,
+lock, JSON-lines TCP socket and STATS — over the sweep's
+:class:`repro.sweep.WorkerPool`, which only its dispatcher thread
+drives.  Jobs are sweep run payloads (:meth:`repro.sweep.RunSpec.
+as_dict` dicts) run by :func:`repro.sweep.scenario.execute_run` in
+workers that persist across jobs, so the shared compiled cell-template
+cache (:func:`repro.rtl.cell_stream.enable_shared_templates`)
+amortises compilation over every job a worker runs.  The pool applies
+the sweep's failure policy: an exception is recorded at once as
+``status: "error"`` with the worker traceback; a worker crash or hang
+gets the worker respawned and the job retried once, then the job is
+recorded as ``status: "crash"`` (with the exit code) or ``"timeout"``.
 
 Wire protocol (one UTF-8 JSON object per line, both directions, a
 request line at most :data:`MAX_REQUEST_BYTES` long)::
@@ -30,15 +23,12 @@ request line at most :data:`MAX_REQUEST_BYTES` long)::
     {"op": "stats"}                         -> {"ok": true, "stats": {...}}
     {"op": "shutdown"}                      -> {"ok": true}
 
-The ``stats`` op is the live-introspection STATS handshake (PR 10):
-queue depth, the per-worker job/crash/timeout/retry counters (counters
-belong to the pool *slot*, so they survive a worker respawn), and the
-merged telemetry of the jobs the service has completed — latency
-histograms bucket-merged across jobs
-(:func:`repro.obs.merge.merge_histograms`), synchroniser and
-provenance totals summed — plus the ids of the jobs running right
-now.  ``python -m repro stats --service HOST:PORT`` and ``python -m
-repro serve --status HOST:PORT`` render it.
+The ``stats`` op is the live-introspection STATS handshake: queue
+depth, running job ids, the per-worker job/crash/timeout/retry
+counters (they belong to the pool *slot*, so they survive a respawn)
+and the merged telemetry of the completed jobs.  ``python -m repro
+stats --service HOST:PORT`` and ``python -m repro serve --status
+HOST:PORT`` render it.
 
 :class:`ServeClient` wraps that protocol for Python callers (and the
 tests' serve smoke).
@@ -50,18 +40,16 @@ import json
 import socket
 import threading
 import time
-from multiprocessing.connection import wait as _conn_wait
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.merge import merge_histograms
+from ..obs.merge import merge_counters, merge_histograms, merge_provenance
+from ..rtl.cell_stream import enable_shared_templates, shared_template_stats
+from ..sweep.runner import Outcome, WorkerPool
 from ..sweep.scenario import execute_run
 from ..sweep.spec import RunSpec, SweepSpecError
-from .topology import _mp_context
 
 __all__ = ["JobService", "ServeClient"]
-
-#: attempts per job before a crash/timeout becomes terminal
-MAX_ATTEMPTS = 2
 
 #: longest request line the socket front door reads, newline included;
 #: a longer line is answered with an error and the rest of it is read
@@ -69,64 +57,19 @@ MAX_ATTEMPTS = 2
 MAX_REQUEST_BYTES = 64 * 1024
 
 
-def _service_worker_main(conn) -> None:
-    """Worker-process entry: serve jobs until told to stop.
+def _serve_task(run: Dict[str, Any], attempt: int) -> Dict[str, Any]:
+    """Pool task of the service: one job with the worker's shared
+    compiled cell-template cache on.
 
-    The process persists across jobs, which is the whole point: the
-    shared compiled cell-template cache enabled here carries each
-    job's template compilations into every later job this worker runs
-    (``templates`` in each result reports the accumulated reuse).
+    Workers persist across jobs, which is the whole point: the cache
+    carries each job's template compilations into every later job the
+    worker runs (``templates`` in each result reports the accumulated
+    reuse).
     """
-    import traceback as _tb
-
-    from ..rtl.cell_stream import (enable_shared_templates,
-                                   shared_template_stats)
     enable_shared_templates()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message[0] == "stop":
-            return
-        _, job_id, run, attempt = message
-        try:
-            result = execute_run(run, attempt=attempt, in_worker=True)
-            result["templates"] = shared_template_stats()
-            conn.send(("ok", job_id, result))
-        except Exception as exc:
-            conn.send(("error", job_id,
-                       {"type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": _tb.format_exc()}))
-
-
-class _Worker:
-    """Bookkeeping for one persistent pool worker.
-
-    The *slot* outlives any single worker process: :meth:`JobService.
-    _replace` swaps a fresh process into the same slot, so ``name``
-    and the per-slot ``counters`` (jobs settled, errors, crashes,
-    timeouts, retries) accumulate across respawns — which is what the
-    STATS introspection wants to show.
-    """
-
-    __slots__ = ("process", "conn", "job_id", "attempt", "deadline",
-                 "name", "counters")
-
-    def __init__(self, process, conn, name: str) -> None:
-        self.process = process
-        self.conn = conn
-        self.name = name
-        self.job_id: Optional[str] = None
-        self.attempt = 0
-        self.deadline = 0.0
-        self.counters = {"jobs": 0, "ok": 0, "errors": 0,
-                         "crashes": 0, "timeouts": 0, "retries": 0}
-
-    @property
-    def busy(self) -> bool:
-        return self.job_id is not None
+    result = execute_run(run, attempt=attempt, in_worker=True)
+    result["templates"] = shared_template_stats()
+    return result
 
 
 class JobService:
@@ -158,9 +101,8 @@ class JobService:
         self.host = host
         self.port = port
         self.address: Optional[Tuple[str, int]] = None
-        self._ctx = _mp_context()
-        self._workers: List[_Worker] = []
-        self._queue: List[Tuple[str, int]] = []
+        self._pool = WorkerPool(_serve_task, jobs, timeout_s)
+        self._queue: List[str] = []
         self._store: Dict[str, Dict[str, Any]] = {}
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
@@ -169,9 +111,13 @@ class JobService:
         self._dispatcher: Optional[threading.Thread] = None
         self._listener: Optional[socket.socket] = None
         self._seq = 0
-        self.stats = {"submitted": 0, "completed": 0, "errors": 0,
-                      "crashes": 0, "timeouts": 0, "retries": 0,
-                      "workers_spawned": 0}
+        self._counts = {"submitted": 0, "completed": 0, "errors": 0}
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Job counters (submitted, completed, errors) plus the pool's
+        (workers_spawned, crashes, timeouts, retries)."""
+        return {**self._counts, **self._pool.stats}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -181,8 +127,7 @@ class JobService:
         TCP listener (``address`` becomes the dial target)."""
         if self._dispatcher is not None:
             return self
-        for index in range(self.jobs):
-            self._workers.append(self._spawn(f"worker{index}"))
+        self._pool.start()
         self._listener = socket.socket(socket.AF_INET,
                                        socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET,
@@ -196,17 +141,6 @@ class JobService:
             daemon=True)
         self._dispatcher.start()
         return self
-
-    def _spawn(self, name: str) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_service_worker_main, args=(child_conn,),
-            name=f"serve-worker-{self.stats['workers_spawned']}",
-            daemon=True)
-        process.start()
-        child_conn.close()
-        self.stats["workers_spawned"] += 1
-        return _Worker(process, parent_conn, name)
 
     def shutdown(self) -> None:
         """Stop dispatching, cancel queued jobs, reap the pool
@@ -223,27 +157,11 @@ class JobService:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10.0)
         with self._lock:
-            for job_id, _ in self._queue:
-                record = self._store.get(job_id)
-                if record is not None and record["status"] == "queued":
-                    record["status"] = "cancelled"
+            for job_id in self._queue:
+                self._store[job_id]["status"] = "cancelled"
             self._queue.clear()
             self._done.notify_all()
-        for worker in self._workers:
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            worker.conn.close()
-        for worker in self._workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-                if worker.process.is_alive():  # pragma: no cover
-                    worker.process.kill()
-                    worker.process.join()
-        self._workers = []
+        self._pool.close()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -274,57 +192,45 @@ class JobService:
                                    "run": spec.as_dict(),
                                    "attempts": 0,
                                    "result": None}
-            self._queue.append((job_id, 1))
-            self.stats["submitted"] += 1
+            self._queue.append(job_id)
+            self._counts["submitted"] += 1
         return job_id
 
     def result(self, job_id: str, wait: bool = True,
                timeout: Optional[float] = None) -> Dict[str, Any]:
         """The job record; with *wait*, block until it leaves the
         queue/running states (or *timeout* seconds elapse)."""
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
         with self._lock:
             record = self._store.get(job_id)
             if record is None:
                 raise KeyError(f"unknown job id {job_id!r}")
-            while wait and record["status"] in ("queued", "running"):
-                remaining = None if deadline is None \
-                    else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    break
-                self._done.wait(timeout=0.25 if remaining is None
-                                else min(0.25, remaining))
+            if wait:
+                self._done.wait_for(
+                    lambda: record["status"] not in ("queued", "running"),
+                    timeout=timeout)
             return dict(record)
 
     def status(self) -> Dict[str, Any]:
         """Service-level counters plus the per-state job census."""
         with self._lock:
-            census: Dict[str, int] = {}
-            for record in self._store.values():
-                census[record["status"]] = \
-                    census.get(record["status"], 0) + 1
+            census = Counter(record["status"]
+                             for record in self._store.values())
             return {"jobs": self.jobs,
                     "timeout_s": self.timeout_s,
                     "queue_depth": len(self._queue),
-                    "census": census,
-                    "stats": dict(self.stats)}
+                    "census": dict(census),
+                    "stats": self.stats}
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """The live-introspection STATS payload: queue depth, the
         per-worker counters, running job ids, and the merged
         telemetry of every completed job."""
         with self._lock:
-            workers = []
-            for worker in self._workers:
-                workers.append({
-                    "name": worker.name,
-                    "alive": worker.process.is_alive(),
-                    "busy": worker.busy,
-                    "job": worker.job_id,
-                    "attempt": worker.attempt,
-                    "counters": dict(worker.counters),
-                })
+            workers = [{"name": slot.name, "alive": slot.alive,
+                        "busy": slot.busy, "job": slot.key,
+                        "attempt": slot.attempt,
+                        "counters": dict(slot.counters)}
+                       for slot in self._pool.slots]
             running = sorted(
                 record["job_id"]
                 for record in self._store.values()
@@ -332,7 +238,7 @@ class JobService:
             return {
                 "queue_depth": len(self._queue),
                 "running": running,
-                "service": dict(self.stats),
+                "service": self.stats,
                 "workers": workers,
                 "telemetry": self._job_telemetry_locked(),
             }
@@ -343,163 +249,67 @@ class JobService:
         sync and provenance totals sum — the same semantics
         :func:`repro.obs.merge.merge_telemetry` applies to shard
         payloads."""
-        latencies: List[Dict[str, Any]] = []
-        sync_totals: Dict[str, int] = {}
-        provenance: Dict[str, int] = {}
-        trace_records = 0
-        jobs = 0
-        for record in self._store.values():
-            result = record.get("result")
-            if record["status"] != "done" \
-                    or not isinstance(result, dict):
-                continue
-            jobs += 1
-            if result.get("latency"):
-                latencies.append(result["latency"])
-            for key, value in (result.get("sync") or {}).items():
-                sync_totals[key] = sync_totals.get(key, 0) \
-                    + int(value)
-            for key, value in (result.get("provenance")
-                               or {}).items():
-                if key == "sample":
-                    provenance[key] = max(provenance.get(key, 1),
-                                          int(value))
-                else:
-                    provenance[key] = provenance.get(key, 0) \
-                        + int(value)
-            trace_records += int(result.get("trace_records", 0))
+        results = [record["result"] for record in self._store.values()
+                   if record["status"] == "done"
+                   and isinstance(record["result"], dict)]
+        latencies = [result["latency"] for result in results
+                     if result.get("latency")]
         return {
-            "jobs": jobs,
+            "jobs": len(results),
             "latency": (merge_histograms(latencies)
                         if latencies else None),
-            "sync": sync_totals,
-            "provenance": provenance or None,
-            "trace_records": trace_records,
+            "sync": merge_counters(result.get("sync") or {}
+                                   for result in results),
+            "provenance": merge_provenance(
+                result.get("provenance") for result in results) or None,
+            "trace_records": sum(int(result.get("trace_records", 0))
+                                 for result in results),
         }
 
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
+        pool = self._pool
         while not self._stop.is_set():
             self._assign()
-            busy = [w for w in self._workers if w.busy]
-            if busy:
-                _conn_wait([w.conn for w in busy], timeout=0.1)
-                for worker in busy:
-                    self._collect(worker)
+            if pool.busy:
+                outcomes = pool.poll(timeout=0.1)
+                if outcomes:
+                    with self._lock:
+                        for outcome in outcomes:
+                            self._record(outcome)
             else:
                 time.sleep(0.02)
 
     def _assign(self) -> None:
+        """Hand queued jobs to idle pool slots, oldest first."""
         with self._lock:
-            for worker in self._workers:
-                if not self._queue:
-                    return
-                if worker.busy:
-                    continue
-                job_id, attempt = self._queue.pop(0)
+            while self._queue and self._pool.idle:
+                job_id = self._queue[0]
                 record = self._store[job_id]
-                record["status"] = "running"
-                record["attempts"] = attempt
                 try:
-                    worker.conn.send(("job", job_id, record["run"],
-                                      attempt))
-                except (BrokenPipeError, OSError):
-                    # Dead pipe — treat like a crash before work began.
-                    self._queue.insert(0, (job_id, attempt))
-                    record["status"] = "queued"
-                    self._replace(worker)
-                    continue
-                worker.job_id = job_id
-                worker.attempt = attempt
-                worker.deadline = time.monotonic() + self.timeout_s
+                    self._pool.dispatch(job_id, record["run"])
+                except OSError:
+                    return  # no worker could be spawned: next round
+                self._queue.pop(0)
+                record["status"] = "running"
+                record["attempts"] = 1
 
-    def _collect(self, worker: _Worker) -> None:
-        if not worker.busy:
-            return
-        if worker.conn.poll():
-            try:
-                kind, job_id, payload = worker.conn.recv()
-            except (EOFError, OSError):
-                # The EOF can outrun process reaping — join briefly so
-                # the crash detail reports the real exit code.
-                worker.process.join(timeout=2.0)
-                self._on_crash(worker,
-                               {"exitcode": worker.process.exitcode})
-                return
-            self._settle(worker, kind, job_id, payload)
-            return
-        if worker.process.exitcode is not None:
-            self._on_crash(worker,
-                           {"exitcode": worker.process.exitcode})
-            return
-        if time.monotonic() >= worker.deadline:
-            worker.process.terminate()
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover
-                worker.process.kill()
-                worker.process.join()
-            self._on_failure(worker, "timeout",
-                             {"timeout_s": self.timeout_s})
-
-    def _settle(self, worker: _Worker, kind: str, job_id: str,
-                payload: Dict[str, Any]) -> None:
-        with self._lock:
-            record = self._store[job_id]
-            worker.counters["jobs"] += 1
-            if kind == "ok":
-                record["status"] = "done"
-                record["result"] = payload
-                self.stats["completed"] += 1
-                worker.counters["ok"] += 1
-            else:
-                # Deterministic scenario error: full traceback, no
-                # retry (the PR 7 sweep policy).
-                record["status"] = "error"
-                record["result"] = {"detail": payload}
-                self.stats["errors"] += 1
-                worker.counters["errors"] += 1
-            worker.job_id = None
-            self._done.notify_all()
-
-    def _on_crash(self, worker: _Worker,
-                  detail: Dict[str, Any]) -> None:
-        self.stats["crashes"] += 1
-        worker.counters["crashes"] += 1
-        self._on_failure(worker, "crash", detail)
-
-    def _on_failure(self, worker: _Worker, kind: str,
-                    detail: Dict[str, Any]) -> None:
-        """Crash/timeout: respawn the worker, retry the job once."""
-        if kind == "timeout":
-            self.stats["timeouts"] += 1
-            worker.counters["timeouts"] += 1
-        job_id, attempt = worker.job_id, worker.attempt
-        self._replace(worker)
-        with self._lock:
-            record = self._store[job_id]
-            if attempt < MAX_ATTEMPTS:
-                self.stats["retries"] += 1
-                worker.counters["retries"] += 1
-                record["status"] = "queued"
-                self._queue.insert(0, (job_id, attempt + 1))
-            else:
-                record["status"] = kind
-                record["result"] = {"detail": detail}
-                worker.counters["jobs"] += 1
-                self._done.notify_all()
-
-    def _replace(self, worker: _Worker) -> None:
-        worker.conn.close()
-        worker.process.join(timeout=5.0)
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=5.0)
-        replacement = self._spawn(worker.name)
-        worker.process = replacement.process
-        worker.conn = replacement.conn
-        worker.job_id = None
+    def _record(self, outcome: Outcome) -> None:
+        """Store one terminal job outcome (caller holds the lock)."""
+        record = self._store[outcome.key]
+        record["attempts"] = outcome.attempt
+        if outcome.kind == "ok":
+            record["status"] = "done"
+            record["result"] = outcome.value
+            self._counts["completed"] += 1
+        else:
+            record["status"] = outcome.kind
+            record["result"] = {"detail": outcome.value}
+            if outcome.kind == "error":
+                self._counts["errors"] += 1
+        self._done.notify_all()
 
     # ------------------------------------------------------------------
     # Socket front door

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..obs.merge import merge_histograms
+
 __all__ = ["VOLATILE_KEYS", "aggregate_results",
            "merge_latency_histograms", "strip_volatile"]
 
@@ -29,58 +31,10 @@ VOLATILE_KEYS = frozenset({
 def merge_latency_histograms(
         histograms: List[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
     """Merge per-run histogram snapshots (the ``as_dict`` form of
-    :class:`repro.obs.Histogram`) into one distribution.
-
-    All runs share :data:`repro.obs.DEFAULT_SECONDS_BOUNDS`, so bucket
-    counts merge by upper bound; p50/p99 are re-derived from the
-    merged buckets with the same upper-bound convention the source
-    histograms use.
-    """
-    merged_buckets: Dict[Any, int] = {}
-    count = 0
-    total = 0.0
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    for hist in histograms:
-        if not hist:
-            continue
-        count += hist["count"]
-        total += hist["total"]
-        for bucket in hist["buckets"]:
-            merged_buckets[bucket["le"]] = \
-                merged_buckets.get(bucket["le"], 0) + bucket["count"]
-        if hist["min"] is not None and (lo is None or hist["min"] < lo):
-            lo = hist["min"]
-        if hist["max"] is not None and (hi is None or hist["max"] > hi):
-            hi = hist["max"]
-
-    def _key(le: Any) -> float:
-        return float("inf") if le == "inf" else float(le)
-
-    buckets = [{"le": le, "count": merged_buckets[le]}
-               for le in sorted(merged_buckets, key=_key)]
-
-    def _quantile(q: float) -> Optional[float]:
-        if count == 0:
-            return None
-        rank = q * count
-        seen = 0
-        for bucket in buckets:
-            seen += bucket["count"]
-            if seen >= rank:
-                return hi if bucket["le"] == "inf" else bucket["le"]
-        return hi
-
-    return {
-        "count": count,
-        "total": total,
-        "mean": total / count if count else 0.0,
-        "min": lo,
-        "max": hi,
-        "p50": _quantile(0.5),
-        "p99": _quantile(0.99),
-        "buckets": buckets,
-    }
+    :class:`repro.obs.Histogram`), skipping runs without one, with
+    :func:`repro.obs.merge_histograms`: bucket counts merge by upper
+    bound and p50/p99 are re-derived from the merged buckets."""
+    return merge_histograms(hist for hist in histograms if hist)
 
 
 def aggregate_results(results: List[Dict[str, Any]]) -> Dict[str, Any]:

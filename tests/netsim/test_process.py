@@ -147,6 +147,31 @@ def test_cancel_self_interrupts():
     assert fired == []
 
 
+def test_fired_self_interrupts_leave_the_pending_set():
+    # A periodic timer re-armed on every tick: only the one armed after
+    # the last tick is pending, however many have fired.
+    p = ProcessModel("ticker")
+    ticks = []
+    p.add_state(State("init", forced=True,
+                      enter=lambda pr: pr.schedule_self(1.0)))
+    p.add_state(State("wait"))
+    p.add_state(State("tick", forced=True,
+                      enter=lambda pr: (ticks.append(pr.now),
+                                        pr.schedule_self(1.0))))
+    p.add_transition("init", "wait")
+    p.add_transition("wait", "tick",
+                     guard=lambda pr, it: it.kind == InterruptKind.SELF)
+    p.add_transition("tick", "wait")
+    net, node, module = make_hosted_process(p)
+    net.run(until=500.5)
+    assert len(ticks) == 500
+    assert len(p._pending_self) == 1
+    assert p.cancel_self_interrupts() == 1
+    assert len(p._pending_self) == 0
+    net.run(until=600.0)
+    assert len(ticks) == 500
+
+
 def test_stream_interrupt_carries_packet():
     p = ProcessModel("rx")
     got = []

@@ -35,7 +35,7 @@ def test_jobs_complete_and_results_are_stored():
         assert status["census"] == {"done": 3}
         assert status["stats"]["completed"] == 3
     # shutdown reaped the pool
-    assert service._workers == []
+    assert not any(w["alive"] for w in service.stats_snapshot()["workers"])
 
 
 def test_unknown_job_id_raises():
@@ -83,6 +83,27 @@ def test_persistent_crash_becomes_terminal():
         assert record["result"]["detail"]["exitcode"] == 23
 
 
+def test_hung_job_times_out_and_the_slot_keeps_serving():
+    with JobService(jobs=1, timeout_s=1.0) as service:
+        job_id = service.submit(run_payload("stuck", inject="hang"))
+        record = service.result(job_id, wait=True, timeout=60)
+        assert record["status"] == "timeout"
+        assert record["attempts"] == 2
+        assert record["result"]["detail"]["timeout_s"] == 1.0
+        stats = service.status()["stats"]
+        assert stats["timeouts"] == 2
+        assert stats["retries"] == 1
+        after = service.submit(run_payload("after-hang"))
+        assert service.result(after, wait=True,
+                              timeout=60)["status"] == "done"
+        # the original worker, the retry's respawn, and the respawn
+        # that serves the next job — all in the one slot
+        assert service.status()["stats"]["workers_spawned"] == 3
+        (worker,) = service.stats_snapshot()["workers"]
+        assert worker["counters"]["timeouts"] == 2
+        assert worker["counters"]["ok"] == 1
+
+
 def test_rtl_templates_shared_across_jobs():
     """The point of the persistent pool: job 2 reuses the compiled
     cell templates job 1 published in the same worker process."""
@@ -124,7 +145,8 @@ def test_serve_smoke_over_socket():
         thread.join(timeout=30)
         service.shutdown()
     assert not thread.is_alive()
-    assert service._workers == []  # pool reaped
+    assert not any(w["alive"]  # pool reaped
+                   for w in service.stats_snapshot()["workers"])
 
 
 def test_serve_stats_live_introspection():

@@ -8,7 +8,7 @@ timeout, ``error`` raises a Python exception inside the scenario.
 
 import pytest
 
-from repro.sweep import SweepRunner, SweepSpec
+from repro.sweep import SweepRunner, SweepSpec, WorkerPool, strip_volatile
 
 
 def _spec(seeds, inject=None, jobs=2, timeout_s=60.0, cells=8):
@@ -32,7 +32,8 @@ def test_parallel_sweep_completes_and_aggregates():
     assert aggregate["sync_exchanges"] > 0
     assert aggregate["latency"]["count"] == 32
     assert payload["execution"]["jobs"] == 2
-    assert payload["execution"]["workers_spawned"] == 4
+    # two persistent workers serve all four runs
+    assert payload["execution"]["workers_spawned"] == 2
     assert all(run["mode"] == "pool" for run in payload["runs"])
 
 
@@ -62,6 +63,28 @@ def test_crash_is_retried_once_then_succeeds():
     assert payload["execution"]["retries"] == 1
     # the healthy run is unaffected
     assert runs["cbr-p2-s1-conservative"]["status"] == "ok"
+
+
+def test_respawned_slot_keeps_serving():
+    inject = {"cbr-p2-s0-conservative": "crash_once"}
+    payload = SweepRunner(_spec(seeds=[0, 1, 2, 3], inject=inject)).run()
+    assert all(run["mode"] == "pool" for run in payload["runs"])
+    # two workers at start plus one respawn into the crashed slot
+    assert payload["execution"]["workers_spawned"] == 3
+    clean = SweepRunner(_spec(seeds=[0, 1, 2, 3])).run()
+    assert strip_volatile(payload) == strip_volatile(clean)
+
+
+def test_spawn_failure_degrades_the_sweep_to_serial(monkeypatch):
+    def refuse(pool, slot):
+        raise OSError("no processes left")
+
+    monkeypatch.setattr(WorkerPool, "_spawn", refuse)
+    payload = SweepRunner(_spec(seeds=[0, 1])).run()
+    assert payload["execution"]["degraded_to_serial"]
+    assert payload["execution"]["workers_spawned"] == 0
+    assert all(run["mode"] == "serial-fallback" for run in payload["runs"])
+    assert payload["aggregate"]["runs_passed"] == 2
 
 
 def test_persistent_crash_degrades_to_serial_without_losing_others():
